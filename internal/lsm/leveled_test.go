@@ -230,6 +230,106 @@ func TestApplyPlanEmptyOutput(t *testing.T) {
 	}
 }
 
+// TestCompactFullMerge covers the control-plane full merge, a plan over
+// every current run published through the same CAS path as leveled
+// compaction: the output lands at the deepest occupied level, a merge that
+// cancels to tombstones publishes no run, and the tree agrees with
+// model.RefLevels.Compact on Get, Keys, Scan and level shape. The seeded
+// bug #14 window opens and closes around the output locator only while
+// that fault is armed.
+func TestCompactFullMerge(t *testing.T) {
+	cases := []struct {
+		name      string
+		pushTo    int  // level the first generation is pushed down to (0: stays in L0)
+		deleteAll bool // the second generation tombstones every key
+		bug14     bool
+		wantLevel int // level of the single output run; -1 for no run
+	}{
+		{"l0-only-lands-at-L1", 0, false, false, 1},
+		{"lands-at-deepest-level", 3, false, false, 3},
+		{"cancels-to-tombstones", 2, true, false, -1},
+		{"bug14-armed-window", 2, false, true, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bugs := faults.NewSet()
+			if tc.bug14 {
+				bugs = faults.NewSet(faults.Bug14CompactionReclaimRace)
+			}
+			cs := model.NewRefChunkStore(bugs)
+			ms := model.NewRefMetaStore()
+			tree, err := lsm.NewTree(cs, ms, model.ResolvedFutures{}, lsm.Config{MaxRuns: 64}, nil, bugs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := model.NewRefLevels()
+			keys := []string{"k00", "k01", "k02", "k03", "k04", "k05"}
+			flush := func() {
+				if _, err := tree.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				_, _ = ref.Flush()
+			}
+			for i, k := range keys {
+				_, _ = tree.Put(k, []byte{byte(i)})
+				_, _ = ref.Put(k, []byte{byte(i)})
+			}
+			flush()
+			for lv := 0; lv < tc.pushTo; lv++ {
+				res, err := tree.ApplyPlan(compact.Plan{Inputs: levelSeqs(tree, lv), OutLevel: lv + 1})
+				if err != nil || !res.Applied {
+					t.Fatalf("push L%d: %+v %v", lv, res, err)
+				}
+				if lv == 0 {
+					ref.PromoteL0()
+				} else if err := ref.Promote(lv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, k := range keys {
+				switch {
+				case tc.deleteAll || i == 0:
+					_, _ = tree.Delete(k)
+					_, _ = ref.Delete(k)
+				case i%2 == 0:
+					_, _ = tree.Put(k, []byte{0xA0 + byte(i)})
+					_, _ = ref.Put(k, []byte{0xA0 + byte(i)})
+				}
+			}
+			flush()
+
+			var windows []string
+			lsm.TestHookWindow = func(loc chunk.Locator, open bool) {
+				windows = append(windows, fmt.Sprintf("%v open=%v", loc, open))
+			}
+			t.Cleanup(func() { lsm.TestHookWindow = nil })
+			if err := tree.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			_ = ref.Compact()
+
+			checkLockstep(t, "after Compact", tree, ref, cs, keys)
+			checkScanLockstep(t, "after Compact", tree, ref, "", "", 0)
+			infos := tree.LevelInfo()
+			if tc.wantLevel < 0 {
+				if len(infos) != 0 {
+					t.Fatalf("cancelling merge published runs: %+v", infos)
+				}
+			} else if len(infos) != 1 || infos[0].Level != tc.wantLevel {
+				t.Fatalf("runs after Compact: %+v, want one at L%d", infos, tc.wantLevel)
+			}
+			var want []string
+			if tc.bug14 {
+				out := tree.RunLocs()[0]
+				want = []string{fmt.Sprintf("%v open=true", out), fmt.Sprintf("%v open=false", out)}
+			}
+			if fmt.Sprint(windows) != fmt.Sprint(want) {
+				t.Fatalf("bug #14 window hook: %v, want %v", windows, want)
+			}
+		})
+	}
+}
+
 // TestManifestGenWraparoundGuard forces the generation counter to its guard
 // value and requires the next manifest publication to refuse rather than
 // wrap (a wrapped generation would recover out of order).

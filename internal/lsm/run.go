@@ -95,9 +95,9 @@ func searchRun(entries []Entry, key string) (Entry, bool) {
 }
 
 // mergeRuns merges runs ordered newest first into a single sorted entry list
-// with newest-wins semantics. If dropTombstones is true (full compaction),
-// deletion markers are elided from the output.
-func mergeRuns(runs [][]Entry, dropTombstones bool) []Entry {
+// with newest-wins semantics. Deletion markers are kept: only the caller
+// knows whether a deeper level remains for them to mask.
+func mergeRuns(runs [][]Entry) []Entry {
 	latest := make(map[string]Entry)
 	order := make([]string, 0)
 	for _, run := range runs { // newest first: first writer wins
@@ -111,11 +111,7 @@ func mergeRuns(runs [][]Entry, dropTombstones bool) []Entry {
 	sort.Strings(order)
 	out := make([]Entry, 0, len(order))
 	for _, k := range order {
-		e := latest[k]
-		if e.Tombstone && dropTombstones {
-			continue
-		}
-		out = append(out, e)
+		out = append(out, latest[k])
 	}
 	return out
 }

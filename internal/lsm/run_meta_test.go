@@ -49,19 +49,18 @@ func TestRunDecodeRejectsUnsorted(t *testing.T) {
 func TestMergeRunsNewestWins(t *testing.T) {
 	newer := []Entry{{Key: "k", Value: []byte{2}}, {Key: "x", Tombstone: true}}
 	older := []Entry{{Key: "k", Value: []byte{1}}, {Key: "x", Value: []byte{9}}, {Key: "y", Value: []byte{3}}}
-	merged := mergeRuns([][]Entry{newer, older}, true)
-	if len(merged) != 2 {
+	merged := mergeRuns([][]Entry{newer, older})
+	if len(merged) != 3 {
 		t.Fatalf("merged: %+v", merged)
 	}
 	if merged[0].Key != "k" || merged[0].Value[0] != 2 {
 		t.Fatalf("newest-wins violated: %+v", merged[0])
 	}
-	if merged[1].Key != "y" {
-		t.Fatalf("expected y to survive: %+v", merged)
+	if merged[1].Key != "x" || !merged[1].Tombstone {
+		t.Fatalf("newer tombstone must shadow the older value and be kept: %+v", merged[1])
 	}
-	withTombs := mergeRuns([][]Entry{newer, older}, false)
-	if len(withTombs) != 3 {
-		t.Fatalf("tombstones dropped when they should be kept: %+v", withTombs)
+	if merged[2].Key != "y" {
+		t.Fatalf("expected y to survive: %+v", merged)
 	}
 }
 

@@ -128,7 +128,7 @@ func (t *Tree) scanView() ([]Entry, uint64, bool, error) {
 		}
 		loaded = append(loaded, entries)
 	}
-	return mergeRuns(loaded, false), gen, torn, nil
+	return mergeRuns(loaded), gen, torn, nil
 }
 
 // collectRange filters a merged view down to the live entries of

@@ -14,6 +14,7 @@ import (
 	"shardstore/internal/compact"
 	"shardstore/internal/dep"
 	"shardstore/internal/faults"
+	"shardstore/internal/vsync"
 )
 
 // LevelInfo implements compact.Host's view: the current manifest
@@ -109,7 +110,7 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 			break
 		}
 	}
-	merged := mergeRuns(loaded, false)
+	merged := mergeRuns(loaded)
 	dropped := 0
 	if dropTomb {
 		kept := merged[:0]
@@ -145,7 +146,26 @@ func (t *Tree) applyPlanLocked(p compact.Plan) (compact.Result, error) {
 		if err != nil {
 			return compact.Result{}, err
 		}
-		defer release()
+		if t.bugs.Enabled(faults.Bug14CompactionReclaimRace) {
+			// Seeded bug #14 (§6's worked example): compaction unpinned the
+			// extent holding the new run chunk before updating the metadata to
+			// point at it. A reclamation scheduled in that window finds the
+			// chunk unreferenced, drops it, and resets the extent — and the
+			// metadata update then installs a dangling pointer, losing the
+			// index entries the run contained.
+			release()
+			t.cov.Hit("lsm.bug14.early_unpin")
+			t.cov.Hit("lsm.bug14.window@" + out.loc.String())
+			if TestHookWindow != nil {
+				TestHookWindow(out.loc, true)
+			}
+			vsync.Yield()
+			if TestHookWindow != nil {
+				TestHookWindow(out.loc, false)
+			}
+		} else {
+			defer release()
+		}
 	} else {
 		t.cov.Hit("lsm.compact.empty_output")
 	}

@@ -8,7 +8,8 @@
 //
 // # Wire contract (v2)
 //
-// A v2 connection opens with a 4-byte preamble "S2P\x02". Every frame in
+// A v2 connection opens with a 4-byte preamble "S2P\x02"; the server closes,
+// without a reply, any connection that opens with anything else. Every frame in
 // either direction then carries a fixed 16-byte header followed by a raw
 // binary payload (values travel as raw bytes — never base64):
 //
@@ -112,14 +113,4 @@
 //	                 KV calls — never unsupported)
 //	durability       flagDurable on put/mput (per-item code 7 on mput)
 //	scrubber, service control, flush, stats columns: control plane probes
-//
-
-// # v1 compatibility
-//
-// The legacy protocol (length-prefixed JSON frames, one lock-step
-// request/response pair at a time) is still served: the server sniffs the
-// first four bytes of each connection — a v1 frame starts with a 4-byte
-// length whose first byte is 0x00 or 0x01, which cannot collide with the
-// v2 preamble's 'S'. DialV1 provides the old client for compatibility
-// testing and as the benchmark baseline.
 package rpc

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestFrameTooLargeOnWrite: MaxFrame is enforced on the WRITE side with the
-// typed error, in both protocol versions — an oversized frame never reaches
-// the wire, so the peer cannot be hung by it.
+// typed error — an oversized frame never reaches the wire, so the peer
+// cannot be hung by it.
 func TestFrameTooLargeOnWrite(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -34,12 +36,6 @@ func TestFrameTooLargeOnWrite(t *testing.T) {
 		})
 	}
 
-	// v1: the JSON+base64 codec can inflate a legal-looking value past
-	// MaxFrame; the writer must catch it (pre-v2 it only checked on read).
-	big := &Request{Op: OpPut, ShardID: "k", Value: make([]byte, 13<<20)}
-	if err := writeFrameV1(io.Discard, big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("v1 oversized write: %v", err)
-	}
 }
 
 // TestFrameTooLargeOnRead: a corrupt or hostile length field fails before
@@ -77,8 +73,7 @@ func TestOversizedPutDoesNotPoisonConnection(t *testing.T) {
 }
 
 // TestErrorTaxonomy: every non-OK code surfaces as a *WireError matching
-// exactly its own sentinel via errors.Is, and the snake_case names round-trip
-// (the v1 JSON code field).
+// exactly its own sentinel via errors.Is.
 func TestErrorTaxonomy(t *testing.T) {
 	sentinels := map[Code]error{
 		CodeNotFound:      ErrNotFound,
@@ -98,9 +93,6 @@ func TestErrorTaxonomy(t *testing.T) {
 			if other != code && errors.Is(err, sentinel) {
 				t.Fatalf("%v also matches %v's sentinel", code, other)
 			}
-		}
-		if codeFromString(code.String()) != code {
-			t.Fatalf("code %v does not round-trip via %q", code, code.String())
 		}
 		var we *WireError
 		if !errors.As(err, &we) || we.Code != code {
@@ -155,5 +147,98 @@ func TestUnknownOpcodeOnWire(t *testing.T) {
 	r = wireReader{b: payload}
 	if code, _ := r.u16(); Code(code) != CodeOK {
 		t.Fatalf("follow-up put code = %d", code)
+	}
+}
+
+// TestHostilePreambleClosed: a connection that does not open with the v2
+// preamble is closed without a reply — an old length-prefixed JSON frame,
+// four bytes of garbage, a short preamble followed by a close, and a
+// connection closed at once. None of them disturbs a v2 client on the same
+// listener, and Close leaves no server goroutine behind.
+func TestHostilePreambleClosed(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := NewServer(newTestStores(t, 1))
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	jsonFrame := []byte(`{"op":"get","shard_id":"kk"}`)
+	if len(jsonFrame) != 0x1c {
+		t.Fatalf("JSON body is %d bytes, want 0x1c", len(jsonFrame))
+	}
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"json-frame", append([]byte{0x00, 0x00, 0x00, 0x1c}, jsonFrame...)},
+		{"garbage", []byte{0xde, 0xad, 0xbe, 0xef}},
+		{"short-preamble", preambleV2[:2]},
+		{"closed-at-once", nil},
+	}
+	for _, tc := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.bytes == nil {
+			_ = conn.Close()
+			continue
+		}
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		if len(tc.bytes) < len(preambleV2) {
+			// Close our side: the server sees EOF mid-preamble.
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := readUntilClosed(t, conn); len(got) != 0 {
+			t.Fatalf("%s: server replied %d bytes: %q", tc.name, len(got), got)
+		}
+		_ = conn.Close()
+	}
+
+	ctx := context.Background()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, "after-hostile", []byte("v")); err != nil {
+		t.Fatalf("v2 put after hostile connections: %v", err)
+	}
+	if v, err := c.Get(ctx, "after-hostile"); err != nil || !bytes.Equal(v, []byte("v")) {
+		t.Fatalf("v2 get after hostile connections: %q %v", v, err)
+	}
+	_ = c.Close()
+	srv.Close()
+
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 500 {
+			t.Fatalf("goroutines after Close: %d, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readUntilClosed returns what the server sent on conn before closing it,
+// failing the test if the server keeps the connection open.
+func readUntilClosed(t *testing.T, conn net.Conn) []byte {
+	t.Helper()
+	done := make(chan []byte, 1)
+	go func() {
+		got, _ := io.ReadAll(conn) // EOF or a reset both mean closed
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		return got
+	case <-time.After(10 * time.Second):
+		_ = conn.Close()
+		got := <-done
+		t.Fatalf("server kept a connection without the preamble open after replying %d bytes", len(got))
+		return nil
 	}
 }

@@ -50,7 +50,7 @@ go test -race -timeout 300s ./internal/obs/... ./internal/rpc/...
 echo "== rpc v2 hammer -race (one client, 8 goroutines, depth-64 pipelines)"
 go test -race -timeout 300s -run 'TestSharedClientPipelineHammer|TestOutOfOrderCompletion' -count=1 ./internal/rpc/
 
-echo "== rpc v2 throughput gate (pipelined >= 4x lock-step; skipped under -race by design)"
+echo "== rpc v2 throughput gate (shared client 8x depth-64 >= 4x depth-1 lock-step; skipped under -race by design)"
 go test -timeout 300s -run 'TestPipelineThroughputGain' -count=1 -v ./internal/rpc/ | grep -E 'ops/s|ok  |PASS|FAIL'
 
 echo "== observability determinism gate (obs on/off: same verdicts, same disk bytes)"
@@ -67,9 +67,6 @@ go test -run 'TestCompactionReadAmplificationGate' -count=1 -v . | grep -E 'runs
 
 echo "== compaction-vs-foreground hammer -race (durable steps against puts/gets on real goroutines)"
 go test -race -timeout 300s -run 'TestCompactionForegroundRaceHammer' -count=1 .
-
-echo "== committed benchmark snapshots (BENCH_PR6.json / BENCH_PR7.json parse and are current)"
-go test -run 'TestBenchSnapshotCurrent|TestReadBenchSnapshotCurrent' -count=1 .
 
 echo "== scan conformance gate (ordered-map lockstep, detection + honesty, RPC cursor walk)"
 go test -run 'TestScanLockstepRandomOps|TestScanCursorWalk|TestScanTornLevelSwapFault|TestScanFaultPathDeadWhenDisarmed' -count=1 ./internal/lsm/
